@@ -5,8 +5,10 @@
 //! (fixed-stride kernel) formulation. Both formulations are bit-identical
 //! by construction — the identity matrix suite pins that — so these
 //! numbers measure pure kernel-shape effects: loop interchange, invariant
-//! hoisting, and (under `--features portable-simd`) 8-wide lane chunking
-//! of the `erfc` Chebyshev recurrence. Results feed `BENCH_batch.json`.
+//! hoisting, and the 8-wide lane chunking of the `erfc` Chebyshev
+//! recurrence inside `erfc_slice`. The benchmark's per-layer record
+//! (`mc.erfc_slice_ns`, `core.sample_chip_ns.*`) tracks the same kernels
+//! over time.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

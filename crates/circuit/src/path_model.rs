@@ -10,7 +10,9 @@
 //!    a gate's delay is `D₀(Vth0 + ΔVth_sys + δv) · exp(−ln_k_sys − ε)` with
 //!    `δv ~ N(0, σ_vr)` and `ε ~ N(0, σ_kr)` independent. The ε factor has
 //!    exact log-normal moments; the δv expectation is evaluated with a
-//!    16-point Gauss–Hermite rule. Cost: 16 delay-model calls per chip.
+//!    16-point Gauss–Hermite rule. Cost: 16 delay-model calls per chip,
+//!    no heap allocation; the rule itself is built once and borrowed
+//!    ([`PathModel::with_quadrature`]).
 //! 2. **CLT over the chain.** A critical path is the sum of `L = 50`
 //!    i.i.d. (conditionally) gate delays, so it is asymptotically
 //!    `Normal(L·μ_g, L·σ_g²)`. At `L = 50` the normal approximation is
@@ -19,6 +21,8 @@
 //!
 //! Path delays then live in a conditional-normal world where lane maxima
 //! can be sampled in O(1) via [`ntv_mc::order::sample_max_normal`].
+
+use std::borrow::Cow;
 
 use ntv_device::{ChipSample, GateSample, TechModel};
 use ntv_mc::GaussHermite;
@@ -57,26 +61,58 @@ pub struct PathMoments {
 pub struct PathModel<'a> {
     tech: &'a TechModel,
     length: usize,
-    quadrature: GaussHermite,
+    quadrature: Cow<'a, GaussHermite>,
 }
 
 impl<'a> PathModel<'a> {
-    /// Default Gauss–Hermite order; 16 points integrate the delay-vs-Vth
-    /// nonlinearity to well below Monte-Carlo noise.
-    pub const DEFAULT_QUADRATURE_ORDER: usize = 16;
+    /// Gauss–Hermite order of the conditional gate moments; 16 points
+    /// integrate the delay-vs-Vth nonlinearity to well below Monte-Carlo
+    /// noise, and the per-call quadrature buffers are sized by it.
+    pub const QUADRATURE_ORDER: usize = 16;
 
-    /// Model for a path of `length` FO4 stages.
+    /// Model for a path of `length` FO4 stages, building its own
+    /// [`QUADRATURE_ORDER`](Self::QUADRATURE_ORDER) rule. Callers that
+    /// build many models (one per operating point) should build the rule
+    /// once and use [`with_quadrature`](Self::with_quadrature).
     ///
     /// # Panics
     ///
     /// Panics if `length == 0`.
     #[must_use]
     pub fn new(tech: &'a TechModel, length: usize) -> Self {
+        Self::from_parts(
+            tech,
+            length,
+            Cow::Owned(GaussHermite::new(Self::QUADRATURE_ORDER)),
+        )
+    }
+
+    /// Model for a path of `length` FO4 stages that borrows a prebuilt
+    /// [`QUADRATURE_ORDER`](Self::QUADRATURE_ORDER)-point rule, so
+    /// constructing it costs no Newton iteration and no allocation.
+    /// Results are bit-identical to [`new`](Self::new): the rule is a
+    /// pure function of its order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `length == 0` or the rule's order is not
+    /// [`QUADRATURE_ORDER`](Self::QUADRATURE_ORDER).
+    #[must_use]
+    pub fn with_quadrature(tech: &'a TechModel, length: usize, rule: &'a GaussHermite) -> Self {
+        assert_eq!(
+            rule.order(),
+            Self::QUADRATURE_ORDER,
+            "path model quadrature order mismatch"
+        );
+        Self::from_parts(tech, length, Cow::Borrowed(rule))
+    }
+
+    fn from_parts(tech: &'a TechModel, length: usize, quadrature: Cow<'a, GaussHermite>) -> Self {
         assert!(length > 0, "a path needs at least one stage");
         Self {
             tech,
             length,
-            quadrature: GaussHermite::new(Self::DEFAULT_QUADRATURE_ORDER),
+            quadrature,
         }
     }
 
@@ -97,17 +133,17 @@ impl<'a> PathModel<'a> {
     /// Runs as the batch split of the 16-point quadrature — abscissas,
     /// one [`TechModel::gate_delay_ps_dvth_batch`] call over the whole
     /// ΔVth vector, ordered fold — bit-identical to the closure-driven
-    /// `moments_normal` path it replaced (pinned by test).
+    /// `moments_normal` path it replaced (pinned by test). The vectors
+    /// are fixed arrays of the rule order, so a call never allocates.
     #[must_use]
     pub fn conditional_gate_moments(&self, vdd: Volts, chip: &ChipSample) -> (f64, f64) {
         let p = self.tech.params();
         // Quadrature over the random Vth deviation with kappa factored out.
-        let n = self.quadrature.order();
-        let mut pts = vec![0.0; n];
+        // `delays` holds the abscissas until the kernel overwrites them.
+        let mut delays = [0.0; Self::QUADRATURE_ORDER];
         self.quadrature
-            .abscissas_into(0.0, p.sigma_vth_random.get(), &mut pts);
-        let dvs: Vec<Volts> = pts.iter().map(|&dv| Volts(dv)).collect();
-        let mut delays = vec![0.0; n];
+            .abscissas_into(0.0, p.sigma_vth_random.get(), &mut delays);
+        let dvs = delays.map(Volts);
         self.tech
             .gate_delay_ps_dvth_batch(vdd, chip, &dvs, 0.0, &mut delays);
         let (q1, qvar) = self.quadrature.moments_from_values(&delays);
@@ -319,7 +355,7 @@ mod tests {
                     let (mu, sigma) = model.conditional_gate_moments(vdd, &chip);
                     // Legacy formulation: closure-driven moments_normal.
                     let p = tech.params();
-                    let gh = GaussHermite::new(PathModel::DEFAULT_QUADRATURE_ORDER);
+                    let gh = GaussHermite::new(PathModel::QUADRATURE_ORDER);
                     let (q1, qvar) = gh.moments_normal(0.0, p.sigma_vth_random.get(), |dv| {
                         tech.gate_delay_ps_at(vdd, &chip, Volts(dv), 0.0)
                     });
@@ -334,6 +370,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A model borrowing a prebuilt rule carries the same bits as one
+    /// that builds its own.
+    #[test]
+    fn borrowed_rule_matches_owned_rule_bitwise() {
+        let tech = TechModel::new(TechNode::Gp45);
+        let rule = GaussHermite::new(PathModel::QUADRATURE_ORDER);
+        let owned = PathModel::new(&tech, 50);
+        let borrowed = PathModel::with_quadrature(&tech, 50, &rule);
+        let mut rng = StreamRng::from_seed(41);
+        for vdd in [Volts(0.45), Volts(0.6), Volts(0.9)] {
+            let chip = tech.sample_chip(&mut rng);
+            let (a, b) = (
+                owned.conditional_moments(vdd, &chip),
+                borrowed.conditional_moments(vdd, &chip),
+            );
+            assert_eq!(a.mean_ps.to_bits(), b.mean_ps.to_bits(), "{vdd}");
+            assert_eq!(a.std_ps.to_bits(), b.std_ps.to_bits(), "{vdd}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "quadrature order mismatch")]
+    fn borrowed_rule_of_wrong_order_rejected() {
+        let tech = TechModel::new(TechNode::Gp90);
+        let rule = GaussHermite::new(8);
+        let _ = PathModel::with_quadrature(&tech, 50, &rule);
     }
 
     /// Each element of the voltage-grid interchange must carry the same

@@ -110,7 +110,12 @@ impl<'a> BodyBiasStudy<'a> {
         // Unconditional normal fit of the biased path distribution, as in
         // VariationMode::PaperNormal (quadrature over systematic draws).
         // ntv:allow(uncached-build): each bias probe rebuilds DeviceParams, and the shift is not part of the cache key
-        let dist = crate::engine::PathDistribution::build(&biased, vdd, config.path_length);
+        let dist = crate::engine::PathDistribution::build(
+            self.engine.rules(),
+            &biased,
+            vdd,
+            config.path_length,
+        );
         let stream = CounterRng::new(seed, "abb-eval");
         let n = config.critical_path_count();
         let samples_ns: Vec<f64> = self.exec.map_indexed(samples as u64, |i| {

@@ -27,9 +27,11 @@
 //! All engines precompute one [`PathDistribution`] per operating point
 //! (Gauss–Hermite quadrature over the systematic draws of the conditional
 //! CLT path moments; a 1024-point survival grid serves the skewed mode's
-//! deep tail). FO4 units are defined as the paper defines them — the
-//! simulated chain delay divided by the chain length (e.g. 22.05 ns / 50 =
-//! 441 ps at 0.5 V in 90 nm), i.e. the distribution *mean* per stage.
+//! deep tail). The Gauss–Hermite rules themselves ([`QuadratureRules`])
+//! are built once per operating-point cache and borrowed by every build.
+//! FO4 units are defined as the paper defines them — the simulated chain
+//! delay divided by the chain length (e.g. 22.05 ns / 50 = 441 ps at
+//! 0.5 V in 90 nm), i.e. the distribution *mean* per stage.
 
 use std::sync::{Arc, OnceLock};
 
@@ -119,6 +121,49 @@ impl SurvivalGrid {
     }
 }
 
+/// The Gauss–Hermite rules every operating-point build integrates with:
+/// the systematic-ΔVth and systematic current-factor dimensions of the
+/// path-delay mixture, and the [`PathModel::QUADRATURE_ORDER`]-point rule
+/// shared by the conditional gate moments and the hierarchical regional
+/// factor. A rule is a pure function of its order, so one set built by
+/// Newton iteration and borrowed everywhere gives the same bits as a
+/// fresh set per build; each [`OpPointCache`] owns one.
+#[derive(Debug)]
+pub struct QuadratureRules {
+    /// Systematic-ΔVth rule, order [`PathDistribution::GH_VTH`].
+    pub(crate) vth: GaussHermite,
+    /// Systematic current-factor rule, order [`PathDistribution::GH_K`].
+    pub(crate) k: GaussHermite,
+    /// Random-ΔVth rule of the conditional gate moments, also the
+    /// regional-factor rule of the hierarchical solver.
+    pub(crate) gate: GaussHermite,
+}
+
+impl QuadratureRules {
+    /// Build the three rules.
+    #[must_use]
+    pub fn new() -> Self {
+        Self {
+            vth: GaussHermite::new(PathDistribution::GH_VTH),
+            k: GaussHermite::new(PathDistribution::GH_K),
+            gate: GaussHermite::new(PathModel::QUADRATURE_ORDER),
+        }
+    }
+
+    /// Closed-form path model for `length` stages over `tech`, borrowing
+    /// the gate rule.
+    #[must_use]
+    pub fn path_model<'a>(&'a self, tech: &'a TechModel, length: usize) -> PathModel<'a> {
+        PathModel::with_quadrature(tech, length, &self.gate)
+    }
+}
+
+impl Default for QuadratureRules {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// Precomputed unconditional path-delay distribution at one operating
 /// point: exact mean/σ (all modes) plus a lazily built survival grid
 /// (skewed/hierarchical draws and analytic tail queries).
@@ -144,7 +189,8 @@ impl PathDistribution {
     /// Gauss–Hermite order for the systematic current-factor dimension.
     pub(crate) const GH_K: usize = 12;
 
-    /// Build the distribution for a `length`-stage path at `vdd`.
+    /// Build the distribution for a `length`-stage path at `vdd`,
+    /// integrating with the prebuilt `rules`.
     ///
     /// The mixture moments are computed eagerly (cheap: one conditional
     /// CLT evaluation per Gauss–Hermite node); the 1024-point survival
@@ -154,11 +200,10 @@ impl PathDistribution {
     /// `ntv::uncached-build` lint) so identical builds are shared
     /// process-wide.
     #[must_use]
-    pub fn build(tech: &TechModel, vdd: Volts, length: usize) -> Self {
+    pub fn build(rules: &QuadratureRules, tech: &TechModel, vdd: Volts, length: usize) -> Self {
         let params = tech.params();
-        let model = PathModel::new(tech, length);
-        let gh_v = GaussHermite::new(Self::GH_VTH);
-        let gh_k = GaussHermite::new(Self::GH_K);
+        let model = rules.path_model(tech, length);
+        let (gh_v, gh_k) = (&rules.vth, &rules.k);
         const INV_PI: f64 = 1.0 / std::f64::consts::PI;
 
         // Conditional moments at each systematic-Vth node; the systematic
@@ -197,15 +242,20 @@ impl PathDistribution {
     /// Gauss–Hermite quadrature over the device voltage-grid kernel), and
     /// each voltage's mixture components are then assembled in the scalar
     /// order. Element `i` is **bit-identical** to
-    /// `PathDistribution::build(tech, vdds[i], length)` (pinned by test);
-    /// the win is arithmetic density — one fixed-stride kernel pass per
-    /// quadrature node instead of `vdds.len()` interleaved scalar builds.
+    /// `PathDistribution::build(rules, tech, vdds[i], length)` (pinned by
+    /// test); the win is arithmetic density — one fixed-stride kernel pass
+    /// per quadrature node instead of `vdds.len()` interleaved scalar
+    /// builds.
     #[must_use]
-    pub fn build_grid(tech: &TechModel, vdds: &[Volts], length: usize) -> Vec<Self> {
+    pub fn build_grid(
+        rules: &QuadratureRules,
+        tech: &TechModel,
+        vdds: &[Volts],
+        length: usize,
+    ) -> Vec<Self> {
         let params = tech.params();
-        let model = PathModel::new(tech, length);
-        let gh_v = GaussHermite::new(Self::GH_VTH);
-        let gh_k = GaussHermite::new(Self::GH_K);
+        let model = rules.path_model(tech, length);
+        let (gh_v, gh_k) = (&rules.vth, &rules.k);
         const INV_PI: f64 = 1.0 / std::f64::consts::PI;
         let sqrt2 = std::f64::consts::SQRT_2;
 
@@ -246,6 +296,43 @@ impl PathDistribution {
                 Self::from_comps(comps)
             })
             .collect()
+    }
+
+    /// Reference formulation of [`build`](Self::build) as it stood before
+    /// the shared [`QuadratureRules`]: every call Newton-builds fresh
+    /// rules and its own path model. Kept only to pin that borrowing the
+    /// rules changes no bit.
+    #[cfg(test)]
+    pub(crate) fn build_reference(tech: &TechModel, vdd: Volts, length: usize) -> Self {
+        let params = tech.params();
+        let model = PathModel::new(tech, length);
+        let gh_v = GaussHermite::new(Self::GH_VTH);
+        let gh_k = GaussHermite::new(Self::GH_K);
+        const INV_PI: f64 = 1.0 / std::f64::consts::PI;
+        let sqrt2 = std::f64::consts::SQRT_2;
+        let comps: Vec<(f64, f64, f64)> = gh_v
+            .nodes()
+            .iter()
+            .zip(gh_v.weights())
+            .flat_map(|(&xv, &wv)| {
+                let dv = sqrt2 * params.sigma_vth_systematic * xv;
+                let m = model.conditional_moments(
+                    vdd,
+                    &ChipSample {
+                        dvth: dv,
+                        ln_k: 0.0,
+                    },
+                );
+                gh_k.nodes()
+                    .iter()
+                    .zip(gh_k.weights())
+                    .map(move |(&xk, &wk)| {
+                        let k = (-(sqrt2 * params.sigma_k_systematic * xk)).exp();
+                        (wv * wk * INV_PI, m.mean_ps * k, m.std_ps * k)
+                    })
+            })
+            .collect();
+        Self::from_comps(comps)
     }
 
     /// Shared tail of [`build`](Self::build) / [`build_grid`](Self::build_grid):
@@ -556,7 +643,6 @@ pub struct DatapathEngine<'a> {
     tech: &'a TechModel,
     config: DatapathConfig,
     mode: VariationMode,
-    path_model: PathModel<'a>,
     // Engines on a node's calibrated parameters share the process-wide
     // operating-point cache; custom-parameter engines get a private one
     // (the cache key does not encode DeviceParams).
@@ -578,7 +664,6 @@ impl<'a> DatapathEngine<'a> {
             tech,
             config,
             mode,
-            path_model: PathModel::new(tech, config.path_length),
             cache: OpPointCache::shared_for(tech),
         }
     }
@@ -605,7 +690,14 @@ impl<'a> DatapathEngine<'a> {
     /// validation tests and the hierarchical mode).
     #[must_use]
     pub fn path_moments(&self, vdd: Volts, chip: &ChipSample) -> PathMoments {
-        self.path_model.conditional_moments(vdd, chip)
+        self.rules()
+            .path_model(self.tech, self.config.path_length)
+            .conditional_moments(vdd, chip)
+    }
+
+    /// The Gauss–Hermite rules of this engine's operating-point cache.
+    pub(crate) fn rules(&self) -> &QuadratureRules {
+        self.cache.rules()
     }
 
     /// The precomputed unconditional path distribution at `vdd`
@@ -1227,10 +1319,11 @@ mod tests {
     /// bit at every grid point.
     #[test]
     fn vectorized_survival_grid_is_bit_exact() {
+        let rules = QuadratureRules::new();
         for node in [TechNode::Gp90, TechNode::PtmHp22] {
             let tech = TechModel::new(node);
             for vdd in [Volts(0.5), Volts(1.0)] {
-                let dist = PathDistribution::build(&tech, vdd, 50);
+                let dist = PathDistribution::build(&rules, &tech, vdd, 50);
                 let reference = dist.survival_sf_reference();
                 let grid = dist.grid();
                 assert_eq!(grid.sf.len(), reference.len());
@@ -1246,30 +1339,71 @@ mod tests {
     /// component, and the derived survival grid.
     #[test]
     fn grid_build_matches_scalar_builds_bitwise() {
+        let rules = QuadratureRules::new();
         let tech = TechModel::new(TechNode::Gp45);
         for n in [0usize, 1, 7] {
             let vdds: Vec<Volts> = (0..n).map(|i| Volts(0.45 + 0.08 * i as f64)).collect();
-            let batch = PathDistribution::build_grid(&tech, &vdds, 50);
+            let batch = PathDistribution::build_grid(&rules, &tech, &vdds, 50);
             assert_eq!(batch.len(), n);
             for (dist, &vdd) in batch.iter().zip(&vdds) {
-                let scalar = PathDistribution::build(&tech, vdd, 50);
-                assert_eq!(
-                    dist.mean_ps().to_bits(),
-                    scalar.mean_ps().to_bits(),
-                    "{vdd}"
-                );
-                assert_eq!(dist.std_ps().to_bits(), scalar.std_ps().to_bits(), "{vdd}");
-                assert_eq!(dist.lo_ps.to_bits(), scalar.lo_ps.to_bits(), "{vdd}");
-                assert_eq!(dist.hi_ps.to_bits(), scalar.hi_ps.to_bits(), "{vdd}");
-                assert_eq!(dist.comps.len(), scalar.comps.len());
-                for (a, b) in dist.comps.iter().zip(&scalar.comps) {
-                    assert_eq!(a.0.to_bits(), b.0.to_bits(), "{vdd}");
-                    assert_eq!(a.1.to_bits(), b.1.to_bits(), "{vdd}");
-                    assert_eq!(a.2.to_bits(), b.2.to_bits(), "{vdd}");
-                }
-                for (a, b) in dist.grid().sf.iter().zip(&scalar.grid().sf) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{vdd}");
-                }
+                let scalar = PathDistribution::build(&rules, &tech, vdd, 50);
+                assert_same_distribution(dist, &scalar, &format!("{vdd}"));
+            }
+        }
+    }
+
+    /// Moments, extent, every mixture component and the derived survival
+    /// grid of two distributions carry the same bits.
+    fn assert_same_distribution(a: &PathDistribution, b: &PathDistribution, what: &str) {
+        assert_eq!(a.mean_ps().to_bits(), b.mean_ps().to_bits(), "{what}");
+        assert_eq!(a.std_ps().to_bits(), b.std_ps().to_bits(), "{what}");
+        assert_eq!(a.lo_ps.to_bits(), b.lo_ps.to_bits(), "{what}");
+        assert_eq!(a.hi_ps.to_bits(), b.hi_ps.to_bits(), "{what}");
+        assert_eq!(a.comps.len(), b.comps.len(), "{what}");
+        for (x, y) in a.comps.iter().zip(&b.comps) {
+            assert_eq!(x.0.to_bits(), y.0.to_bits(), "{what}");
+            assert_eq!(x.1.to_bits(), y.1.to_bits(), "{what}");
+            assert_eq!(x.2.to_bits(), y.2.to_bits(), "{what}");
+        }
+        for (x, y) in a.grid().sf.iter().zip(&b.grid().sf) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}");
+        }
+    }
+
+    /// Builds that borrow one shared rule set — scalar and voltage-grid —
+    /// must equal the fresh-rules-per-build reference bit for bit, on
+    /// every node across the supply range.
+    #[test]
+    fn shared_rule_builds_match_fresh_rule_reference_bitwise() {
+        let rules = QuadratureRules::new();
+        let vdds = [Volts(0.45), Volts(0.55), Volts(0.7), Volts(1.0)];
+        for node in TechNode::ALL {
+            let tech = TechModel::new(node);
+            let grid = PathDistribution::build_grid(&rules, &tech, &vdds, 50);
+            for (batch, &vdd) in grid.iter().zip(&vdds) {
+                let reference = PathDistribution::build_reference(&tech, vdd, 50);
+                let scalar = PathDistribution::build(&rules, &tech, vdd, 50);
+                assert_same_distribution(&scalar, &reference, &format!("{node:?} {vdd} build"));
+                assert_same_distribution(batch, &reference, &format!("{node:?} {vdd} grid"));
+            }
+        }
+    }
+
+    /// The engine's conditional path moments, borrowed from its cache's
+    /// rules, equal a path model that builds its own rule.
+    #[test]
+    fn engine_path_moments_match_owned_rule_model_bitwise() {
+        for node in TechNode::ALL {
+            let tech = TechModel::new(node);
+            let engine = engine_default(&tech);
+            let owned = PathModel::new(&tech, engine.config().path_length);
+            let mut rng = StreamRng::from_seed(5);
+            for vdd in [Volts(0.45), Volts(0.6), Volts(0.9)] {
+                let chip = tech.sample_chip_global(&mut rng);
+                let a = engine.path_moments(vdd, &chip);
+                let b = owned.conditional_moments(vdd, &chip);
+                assert_eq!(a.mean_ps.to_bits(), b.mean_ps.to_bits(), "{node:?} {vdd}");
+                assert_eq!(a.std_ps.to_bits(), b.std_ps.to_bits(), "{node:?} {vdd}");
             }
         }
     }

@@ -6,7 +6,10 @@
 //! bisections land on identical probe voltages across experiment modules.
 //! Before this cache each [`crate::DatapathEngine`] owned a private map, so
 //! fifteen experiment modules repeated identical 24×12 Gauss–Hermite
-//! builds. [`OpPointCache`] shares them process-wide.
+//! builds. [`OpPointCache`] shares them process-wide. Each cache also
+//! owns the [`QuadratureRules`] its builds integrate with, Newton-built
+//! once when the cache is created, so a cold operating point pays only
+//! its own quadrature sums.
 //!
 //! # Keying and the custom-parameter escape hatch
 //!
@@ -68,7 +71,7 @@ use std::sync::{Arc, OnceLock, RwLock};
 use ntv_device::{DeviceParams, TechModel, TechNode};
 use ntv_units::Volts;
 
-use crate::engine::{PathDistribution, VariationMode};
+use crate::engine::{PathDistribution, QuadratureRules, VariationMode};
 use crate::exec::Executor;
 
 type Key = (TechNode, VariationMode, usize, u64);
@@ -133,6 +136,8 @@ pub struct OpPointCache {
     misses: AtomicU64,
     evictions: AtomicU64,
     coalesced: AtomicU64,
+    /// The Gauss–Hermite rules every build in this cache borrows.
+    rules: QuadratureRules,
 }
 
 impl OpPointCache {
@@ -196,6 +201,11 @@ impl OpPointCache {
             coalesced: self.coalesced.load(Ordering::Relaxed),
             resident: self.len(),
         }
+    }
+
+    /// The Gauss–Hermite rules this cache's builds integrate with.
+    pub(crate) fn rules(&self) -> &QuadratureRules {
+        &self.rules
     }
 
     /// The process-wide cache shared by every engine running a node's
@@ -314,7 +324,7 @@ impl OpPointCache {
         let dist = Arc::clone(entry.cell.get_or_init(|| {
             built_here = true;
             // ntv:allow(uncached-build): the cache's own build site — every other caller shares it
-            Arc::new(PathDistribution::build(tech, vdd, path_length))
+            Arc::new(PathDistribution::build(&self.rules, tech, vdd, path_length))
         }));
         let counter = if built_here {
             &self.misses
@@ -413,7 +423,7 @@ impl OpPointCache {
         let vdds: Vec<Volts> = jobs.iter().map(|&(vdd, _)| vdd).collect();
         let built = exec.map_indexed_chunks(vdds.len() as u64, |start, len| {
             let (start, len) = (start as usize, len as usize);
-            PathDistribution::build_grid(tech, &vdds[start..start + len], path_length)
+            PathDistribution::build_grid(&self.rules, tech, &vdds[start..start + len], path_length)
         });
         let warm = mode != VariationMode::PaperNormal;
         for ((_, entry), dist) in jobs.into_iter().zip(built) {
@@ -524,7 +534,7 @@ mod tests {
         let tech = TechModel::new(TechNode::PtmHp22);
         let cache = OpPointCache::new();
         let cached = cache.get_or_build(&tech, VariationMode::SkewedIid, Volts(0.55), 50);
-        let fresh = PathDistribution::build(&tech, Volts(0.55), 50);
+        let fresh = PathDistribution::build(&QuadratureRules::new(), &tech, Volts(0.55), 50);
         assert_eq!(cached.mean_ps().to_bits(), fresh.mean_ps().to_bits());
         assert_eq!(cached.std_ps().to_bits(), fresh.std_ps().to_bits());
         for g in [1e-6, 1e-3, 0.01, 0.5, 0.99] {

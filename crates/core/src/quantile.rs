@@ -38,8 +38,11 @@
 use serde::{Deserialize, Serialize};
 use std::f64::consts::SQRT_2;
 
+use ntv_circuit::path_model::PathModel;
 use ntv_device::ChipSample;
-use ntv_mc::{normal, order, GaussHermite};
+#[cfg(test)]
+use ntv_mc::GaussHermite;
+use ntv_mc::{normal, order};
 use ntv_units::Volts;
 
 use crate::engine::{DatapathEngine, PathDistribution, VariationMode};
@@ -70,9 +73,10 @@ pub struct ChipQuantileSolver<'e, 't> {
 const INVERT_REL_TOL: f64 = 1e-12;
 
 /// Gauss–Hermite order for the regional (per-lane) log-normal delay
-/// factor; matches the 16-point rule `PathModel` uses for conditional
-/// moments.
-const GH_REGION: usize = 16;
+/// factor: it integrates with the gate rule of the engine's
+/// [`QuadratureRules`](crate::engine::QuadratureRules), the 16-point rule
+/// `PathModel` uses for conditional moments.
+const GH_REGION: usize = PathModel::QUADRATURE_ORDER;
 
 impl<'e, 't> ChipQuantileSolver<'e, 't> {
     /// A solver borrowing `engine`'s operating-point cache and shape.
@@ -211,8 +215,9 @@ impl<'e, 't> ChipQuantileSolver<'e, 't> {
         let global_share = (1.0 - params.lane_fraction).sqrt();
         let region_share = params.lane_fraction.sqrt();
 
-        let gh_v = GaussHermite::new(PathDistribution::GH_VTH);
-        let gh_k = GaussHermite::new(PathDistribution::GH_K);
+        let rules = self.engine.rules();
+        let (gh_v, gh_k) = (&rules.vth, &rules.k);
+        let model = rules.path_model(self.engine.tech(), self.engine.config().path_length);
         const INV_PI: f64 = 1.0 / std::f64::consts::PI;
         let sigma_vg = params.sigma_vth_systematic * global_share;
         let sigma_kg = params.sigma_k_systematic * global_share;
@@ -222,7 +227,64 @@ impl<'e, 't> ChipQuantileSolver<'e, 't> {
             .zip(gh_v.weights())
             .flat_map(|(&xv, &wv)| {
                 let dv = sigma_vg * (SQRT_2 * xv);
-                let m = self.engine.path_moments(
+                let m = model.conditional_moments(
+                    vdd,
+                    &ChipSample {
+                        dvth: dv,
+                        ln_k: 0.0,
+                    },
+                );
+                gh_k.nodes()
+                    .iter()
+                    .zip(gh_k.weights())
+                    .map(move |(&xk, &wk)| {
+                        let k = (-(SQRT_2 * sigma_kg * xk)).exp();
+                        (wv * wk * INV_PI, m.mean_ps * k, m.std_ps * k)
+                    })
+            })
+            .collect();
+
+        // ln f = S(vdd)·ΔVth_r − ln k_r is a sum of independent centred
+        // normals, hence normal with the combined variance.
+        let s = self.engine.tech().delay_vth_sensitivity(vdd);
+        let sv = s * (params.sigma_vth_systematic.get() * region_share);
+        let sk = params.sigma_k_systematic * region_share;
+        let s_f = (sv * sv + sk * sk).sqrt();
+        const INV_SQRT_PI: f64 = 0.564_189_583_547_756_3;
+        let gh_f = &rules.gate;
+        let factors: Vec<(f64, f64)> = gh_f
+            .nodes()
+            .iter()
+            .zip(gh_f.weights())
+            .map(|(&xf, &wf)| (wf * INV_SQRT_PI, (SQRT_2 * s_f * xf).exp()))
+            .collect();
+
+        HierMixture { comps, factors }
+    }
+
+    /// Reference formulation of [`Self::hier_mixture`] as it stood before
+    /// the shared [`QuadratureRules`](crate::engine::QuadratureRules):
+    /// every call Newton-builds fresh rules and its own path model. Kept
+    /// only to pin that borrowing the rules changes no bit.
+    #[cfg(test)]
+    fn hier_mixture_reference(&self, vdd: Volts) -> HierMixture {
+        let params = self.engine.tech().params();
+        let global_share = (1.0 - params.lane_fraction).sqrt();
+        let region_share = params.lane_fraction.sqrt();
+
+        let gh_v = GaussHermite::new(PathDistribution::GH_VTH);
+        let gh_k = GaussHermite::new(PathDistribution::GH_K);
+        let model = PathModel::new(self.engine.tech(), self.engine.config().path_length);
+        const INV_PI: f64 = 1.0 / std::f64::consts::PI;
+        let sigma_vg = params.sigma_vth_systematic * global_share;
+        let sigma_kg = params.sigma_k_systematic * global_share;
+        let comps: Vec<(f64, f64, f64)> = gh_v
+            .nodes()
+            .iter()
+            .zip(gh_v.weights())
+            .flat_map(|(&xv, &wv)| {
+                let dv = sigma_vg * (SQRT_2 * xv);
+                let m = model.conditional_moments(
                     vdd,
                     &ChipSample {
                         dvth: dv,
@@ -680,6 +742,88 @@ mod tests {
                 let scalar = mix.lane_cdf_sf_reference(x, mu, s, 100.0);
                 assert_eq!(batch.0.to_bits(), scalar.0.to_bits(), "cdf at x={x}");
                 assert_eq!(batch.1.to_bits(), scalar.1.to_bits(), "sf at x={x}");
+            }
+        }
+    }
+
+    /// Chip and spares quantiles evaluated on fresh-rule inputs: each
+    /// mode's closed form or inversion, as in `chip_quantile_ps` /
+    /// `spares_quantile_ps`, over `PathDistribution::build_reference` or
+    /// `hier_mixture_reference`.
+    fn quantiles_reference(
+        solver: &ChipQuantileSolver<'_, '_>,
+        vdd: Volts,
+        spares: u32,
+        p: f64,
+    ) -> (f64, f64) {
+        let engine = solver.engine;
+        let config = engine.config();
+        let n = config.critical_path_count();
+        let (lanes, paths) = (config.lanes, config.paths_per_lane as f64);
+        let tail = BinomialTail::new(lanes + spares as usize, lanes);
+        let fresh = || PathDistribution::build_reference(engine.tech(), vdd, config.path_length);
+        match engine.mode() {
+            VariationMode::PaperNormal => {
+                let dist = fresh();
+                let (mu, s) = (dist.mean_ps(), dist.std_ps());
+                let chip = mu + s * normal::quantile(order::max_cdf_target(p, n));
+                let with_spares = invert_monotone_cdf(p, mu - 8.0 * s, mu + 12.0 * s, |x| {
+                    let (pl, sl) = lane_split(ln_normal_cdf((x - mu) / s), paths);
+                    tail.eval(pl, sl)
+                });
+                (chip, with_spares)
+            }
+            VariationMode::SkewedIid => {
+                let dist = fresh();
+                let chip = dist.quantile_by_survival(order::max_survival_target(p, n));
+                let (lo, hi) = skewed_bracket(&dist);
+                let with_spares = invert_monotone_cdf(p, lo, hi, |x| {
+                    let (pl, sl) = lane_split((-dist.survival(x)).ln_1p(), paths);
+                    tail.eval(pl, sl)
+                });
+                (chip, with_spares)
+            }
+            VariationMode::Hierarchical => {
+                let mix = solver.hier_mixture_reference(vdd);
+                let (lo, hi) = mix.bracket();
+                let chip = invert_monotone_cdf(p, lo, hi, |x| mix.chip_cdf(x, paths, lanes as f64));
+                let with_spares =
+                    invert_monotone_cdf(p, lo, hi, |x| mix.spares_cdf(x, paths, &tail));
+                (chip, with_spares)
+            }
+        }
+    }
+
+    /// Quantiles served through the cache's shared rules equal the
+    /// fresh-rules-per-build reference bit for bit: every node, every
+    /// variation mode, across the supply range.
+    #[test]
+    fn shared_rule_quantiles_match_fresh_rule_reference_bitwise() {
+        for node in TechNode::ALL {
+            let tech = TechModel::new(node);
+            for mode in [
+                VariationMode::PaperNormal,
+                VariationMode::SkewedIid,
+                VariationMode::Hierarchical,
+            ] {
+                let engine =
+                    DatapathEngine::with_mode(&tech, DatapathConfig::paper_default(), mode);
+                let solver = ChipQuantileSolver::new(&engine);
+                for vdd in [Volts(0.45), Volts(0.55), Volts(0.7)] {
+                    let p = 0.99;
+                    let (chip, with_spares) = quantiles_reference(&solver, vdd, 2, p);
+                    let what = format!("{node:?} {mode:?} {vdd}");
+                    assert_eq!(
+                        solver.chip_quantile_ps(vdd, p).to_bits(),
+                        chip.to_bits(),
+                        "chip {what}"
+                    );
+                    assert_eq!(
+                        solver.spares_quantile_ps(vdd, 2, p).to_bits(),
+                        with_spares.to_bits(),
+                        "spares {what}"
+                    );
+                }
             }
         }
     }

@@ -6,10 +6,12 @@
 //! API: for every technology node × variation mode × voltage × batch size
 //! (including 0, 1, and sizes that are not a multiple of any SIMD lane
 //! width), the batched chip-delay draws must equal the per-index scalar
-//! sampler bit for bit, under both the default scalar kernels and the
-//! `portable-simd` lane-chunked ones (CI runs both configurations).
+//! sampler bit for bit. The `erfc` kernel underneath is lane-chunked in
+//! every build; CI runs this suite with default codegen and with
+//! `-Ctarget-cpu=native`, so wider vector units must not change a bit
+//! either.
 
-use ntv_core::engine::{PathDistribution, VariationMode};
+use ntv_core::engine::{PathDistribution, QuadratureRules, VariationMode};
 use ntv_core::{DatapathConfig, DatapathEngine, Executor};
 use ntv_device::{TechModel, TechNode};
 use ntv_mc::CounterRng;
@@ -84,9 +86,10 @@ fn grid_build_matches_scalar_build_at_every_voltage() {
     // over the full clamp range agree exactly.
     let tech = TechModel::new(TechNode::PtmHp32);
     let vdds: Vec<Volts> = (0..9).map(|i| Volts(0.45 + 0.07 * f64::from(i))).collect();
-    let batch = PathDistribution::build_grid(&tech, &vdds, 50);
+    let rules = QuadratureRules::new();
+    let batch = PathDistribution::build_grid(&rules, &tech, &vdds, 50);
     for (dist, &vdd) in batch.iter().zip(&vdds) {
-        let scalar = PathDistribution::build(&tech, vdd, 50);
+        let scalar = PathDistribution::build(&rules, &tech, vdd, 50);
         assert_eq!(
             dist.mean_ps().to_bits(),
             scalar.mean_ps().to_bits(),

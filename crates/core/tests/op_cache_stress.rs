@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use ntv_core::engine::{PathDistribution, VariationMode};
+use ntv_core::engine::{PathDistribution, QuadratureRules, VariationMode};
 use ntv_core::{Executor, OpPointCache};
 use ntv_device::{TechModel, TechNode};
 use ntv_units::Volts;
@@ -77,7 +77,7 @@ fn concurrent_prefetches_build_each_point_exactly_once() {
 
     // Cached values are bit-identical to a fresh serial build.
     for (i, &vdd) in volts.iter().enumerate() {
-        let fresh = PathDistribution::build(&tech, vdd, PATH_LENGTH);
+        let fresh = PathDistribution::build(&QuadratureRules::new(), &tech, vdd, PATH_LENGTH);
         let cached = &first[i];
         assert_eq!(cached.mean_ps().to_bits(), fresh.mean_ps().to_bits());
         assert_eq!(cached.std_ps().to_bits(), fresh.std_ps().to_bits());

@@ -12,10 +12,10 @@
 //! it replaces; the tests in this module pin that by `to_bits`.
 //!
 //! The slices are plain `f64`-width lanes (`Volts` is a transparent f64
-//! newtype), so the loops are amenable to autovectorization; the chunked
-//! `portable-simd` paths live one layer down in `ntv_mc` (the erfc
-//! kernel), not here — transcendentals (`powf`, `exp`) dominate these
-//! loops and stay scalar per element.
+//! newtype), so the loops are amenable to autovectorization. Explicit lane
+//! chunking lives one layer down in `ntv_mc` (the erfc kernel), not here:
+//! transcendentals (`powf`, `exp`) dominate these loops and stay scalar
+//! per element.
 
 use ntv_units::Volts;
 

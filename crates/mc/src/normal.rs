@@ -85,11 +85,10 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
-/// Lane count of the chunked [`erfc_slice`] kernel: under the
-/// `portable-simd` feature, chunks of this many elements share one pass
-/// over the Chebyshev recurrence, amortizing its serial dependency chain
-/// across independent lanes. Exposed so tests can probe non-multiple
-/// lengths; the default build ignores it (plain elementwise loop).
+/// Lane count of the chunked [`erfc_slice`] kernel: chunks of this many
+/// elements share one pass over the Chebyshev recurrence, amortizing its
+/// serial dependency chain across independent lanes. Exposed so tests can
+/// probe lengths that are not a multiple of it.
 pub const ERFC_LANES: usize = 8;
 
 /// One chunk of the batch evaluator: every lane runs exactly the scalar
@@ -97,7 +96,6 @@ pub const ERFC_LANES: usize = 8;
 /// output is bit-identical to `erfc(x[l])`. The per-coefficient inner loop
 /// has no cross-lane dependence and is written fixed-stride so the
 /// compiler can vectorize the `ty·d − dd + c` update.
-#[cfg(feature = "portable-simd")]
 fn erfc_lanes(x: &[f64; ERFC_LANES]) -> [f64; ERFC_LANES] {
     let mut z = [0.0; ERFC_LANES];
     let mut t = [0.0; ERFC_LANES];
@@ -126,33 +124,30 @@ fn erfc_lanes(x: &[f64; ERFC_LANES]) -> [f64; ERFC_LANES] {
 
 /// Batch complementary error function: `out[i] = erfc(xs[i])`.
 ///
-/// Bit-identical to the scalar loop in every configuration. The default
-/// build is a plain fixed-stride elementwise loop (autovectorization
-/// friendly); with the `portable-simd` feature the slice is processed in
-/// explicitly chunked lanes of [`ERFC_LANES`], which amortizes the
-/// Chebyshev recurrence's serial dependency chain across independent
-/// lanes — every lane still performs the exact scalar operation sequence,
-/// so the results carry the same bits.
+/// The slice is processed in chunks of [`ERFC_LANES`] through one shared
+/// pass of the Chebyshev recurrence, which amortizes its serial
+/// dependency chain across independent lanes; the ragged tail runs the
+/// scalar [`erfc`]. Every lane performs the exact scalar operation
+/// sequence, so each output carries the same bits as `erfc(xs[i])`
+/// (pinned by test for every length up to four chunks, deep tails,
+/// signed zeros, infinities and NaN).
 ///
 /// # Panics
 /// Panics if the slices differ in length.
 pub fn erfc_slice(xs: &[f64], out: &mut [f64]) {
     assert_eq!(xs.len(), out.len(), "erfc batch length mismatch");
-    #[cfg(feature = "portable-simd")]
-    {
-        let chunks = xs.len() / ERFC_LANES;
+    let mut xs_chunks = xs.chunks_exact(ERFC_LANES);
+    let mut out_chunks = out.chunks_exact_mut(ERFC_LANES);
+    for (o, x) in (&mut out_chunks).zip(&mut xs_chunks) {
         let mut lane = [0.0; ERFC_LANES];
-        for c in 0..chunks {
-            let base = c * ERFC_LANES;
-            lane.copy_from_slice(&xs[base..base + ERFC_LANES]);
-            out[base..base + ERFC_LANES].copy_from_slice(&erfc_lanes(&lane));
-        }
-        for (o, &x) in out.iter_mut().zip(xs).skip(chunks * ERFC_LANES) {
-            *o = erfc(x);
-        }
+        lane.copy_from_slice(x);
+        o.copy_from_slice(&erfc_lanes(&lane));
     }
-    #[cfg(not(feature = "portable-simd"))]
-    for (o, &x) in out.iter_mut().zip(xs) {
+    for (o, &x) in out_chunks
+        .into_remainder()
+        .iter_mut()
+        .zip(xs_chunks.remainder())
+    {
         *o = erfc(x);
     }
 }
@@ -318,30 +313,75 @@ mod tests {
 
     #[test]
     fn erfc_slice_is_bit_identical_to_scalar_erfc() {
-        // Lengths straddle the chunk width: empty, single, sub-chunk,
-        // exact multiples, and a ragged tail. Values cover both signs,
-        // zero, and deep tails.
-        for n in [0usize, 1, 3, 7, 8, 9, 16, 37] {
-            let xs: Vec<f64> = (0..n)
-                .map(|i| {
-                    let v = f64::from(i as i32) * 0.37 - 3.1;
-                    if i % 5 == 0 {
-                        -v
-                    } else {
-                        v
-                    }
-                })
-                .collect();
-            let mut out = vec![0.0; n];
-            erfc_slice(&xs, &mut out);
-            for (i, &x) in xs.iter().enumerate() {
-                assert_eq!(
-                    out[i].to_bits(),
-                    erfc(x).to_bits(),
-                    "erfc_slice diverged at n={n} i={i} x={x}"
-                );
+        // Every length from empty through four full chunks plus one, so
+        // each chunk count meets each ragged-tail width. Values cover both
+        // signs, the deep tails where erfc goes subnormal and then
+        // underflows to 0 (or saturates at 2), signed zeros, infinities
+        // and NaN; each shift moves the edge values to other lanes and
+        // into and out of the scalar tail.
+        let edges = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            26.0,
+            -26.0,
+            26.6,
+            27.0,
+            -27.0,
+            27.3,
+            28.0,
+            30.0,
+            -30.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::MAX,
+            -f64::MAX,
+        ];
+        for n in 0..=4 * ERFC_LANES + 1 {
+            for shift in 0..edges.len() {
+                let xs: Vec<f64> = (0..n)
+                    .map(|i| {
+                        if (i + shift) % 3 == 0 {
+                            edges[(i + shift) % edges.len()]
+                        } else {
+                            let v = f64::from(i as i32) * 0.37 - 3.1 + 0.91 * shift as f64;
+                            if i % 5 == 0 {
+                                -v
+                            } else {
+                                v
+                            }
+                        }
+                    })
+                    .collect();
+                let mut out = vec![0.0; n];
+                erfc_slice(&xs, &mut out);
+                for (i, &x) in xs.iter().enumerate() {
+                    assert_eq!(
+                        out[i].to_bits(),
+                        erfc(x).to_bits(),
+                        "erfc_slice diverged at n={n} shift={shift} i={i} x={x}"
+                    );
+                }
             }
         }
+    }
+
+    /// The scalar kernel's edge values the lane kernel must reproduce:
+    /// one value at ±0 (within an ulp of 1), saturation at the
+    /// infinities, underflow past the deep tail, NaN in NaN out.
+    #[test]
+    fn erfc_edge_values() {
+        assert_eq!(erfc(0.0).to_bits(), erfc(-0.0).to_bits());
+        assert!((erfc(0.0) - 1.0).abs() <= f64::EPSILON);
+        assert_eq!(erfc(f64::INFINITY), 0.0);
+        assert_eq!(erfc(f64::NEG_INFINITY), 2.0);
+        assert_eq!(erfc(30.0), 0.0);
+        assert_eq!(erfc(-30.0), 2.0);
+        let sub = erfc(26.6);
+        assert!(sub > 0.0 && sub < f64::MIN_POSITIVE, "erfc(26.6) = {sub:e}");
+        assert!(erfc(f64::NAN).is_nan());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use ntv_simd::circuit::chain::ChainMc;
 use ntv_simd::circuit::path_model::PathModel;
-use ntv_simd::core::engine::{PathDistribution, VariationMode};
+use ntv_simd::core::engine::{PathDistribution, QuadratureRules, VariationMode};
 use ntv_simd::core::{DatapathConfig, DatapathEngine};
 use ntv_simd::device::{TechModel, TechNode};
 use ntv_simd::mc::{Ecdf, StreamRng, Summary};
@@ -16,7 +16,7 @@ fn path_distribution_matches_gate_level_chain_across_nodes() {
     for node in [TechNode::Gp90, TechNode::PtmHp22] {
         let tech = TechModel::new(node);
         for vdd in [Volts(0.5), tech.nominal_vdd()] {
-            let dist = PathDistribution::build(&tech, vdd, 50);
+            let dist = PathDistribution::build(&QuadratureRules::new(), &tech, vdd, 50);
             let chain = ChainMc::new(&tech, 50);
             let mut rng = StreamRng::from_seed(1);
             let mc = chain.summary(vdd, 5_000, &mut rng);
@@ -39,7 +39,7 @@ fn path_distribution_matches_gate_level_chain_across_nodes() {
 #[test]
 fn skewed_sampler_reproduces_the_mixture_cdf() {
     let tech = TechModel::new(TechNode::Gp45);
-    let dist = PathDistribution::build(&tech, Volts(0.55), 50);
+    let dist = PathDistribution::build(&QuadratureRules::new(), &tech, Volts(0.55), 50);
     let mut rng = StreamRng::from_seed(2);
     let samples: Vec<f64> = (0..20_000).map(|_| dist.sample(&mut rng)).collect();
     let ecdf = Ecdf::from_samples(samples);

@@ -182,9 +182,9 @@ proptest! {
         vdd in 0.5_f64..0.8,
         g_exp in 1.0_f64..6.0,
     ) {
-        use ntv_simd::core::engine::PathDistribution;
+        use ntv_simd::core::engine::{PathDistribution, QuadratureRules};
         let tech = TechModel::new(TechNode::ALL[node_idx]);
-        let dist = PathDistribution::build(&tech, Volts(vdd), 50);
+        let dist = PathDistribution::build(&QuadratureRules::new(), &tech, Volts(vdd), 50);
         // survival is monotone non-increasing and bounded.
         let m = dist.mean_ps();
         let mut prev = 1.0;
