@@ -181,15 +181,6 @@ impl Concurrency {
         let syms = &graph.table.symbols;
         let n = syms.len();
 
-        // Innermost-span ownership (nested fns own their tokens), shared
-        // by the atomic and blocking scans.
-        let mut file_spans: Vec<Vec<(SymbolId, (usize, usize))>> = vec![Vec::new(); files.len()];
-        for (id, sym) in syms.iter().enumerate() {
-            if let Some(span) = sym.body {
-                file_spans[sym.file].push((id, span));
-            }
-        }
-
         // ---- lock classes and per-symbol acquisitions ----
         let mut kinds: BTreeMap<String, &'static str> = BTreeMap::new();
         let mut raw: Vec<Vec<(String, usize)>> = (0..n).map(|_| Vec::new()).collect();
@@ -231,47 +222,15 @@ impl Concurrency {
             })
             .collect();
 
-        // ---- confident call edges (the only ones facts travel over) ----
-        let conf: Vec<Vec<SymbolId>> = (0..n)
-            .map(|id| {
-                let mut out: Vec<SymbolId> = graph
-                    .calls(id)
-                    .iter()
-                    .filter(|c| c.confident)
-                    .flat_map(|c| c.candidates.iter().copied())
-                    .collect();
-                out.sort_unstable();
-                out.dedup();
-                out
-            })
-            .collect();
-
-        // ---- transitive acquire-sets, fixed-pointed over conf edges ----
-        let mut trans_acq: Vec<BTreeSet<usize>> = (0..n)
-            .map(|id| acqs[id].iter().map(|a| a.class).collect())
-            .collect();
-        loop {
-            let mut changed = false;
-            for id in 0..n {
-                for &t in &conf[id] {
-                    if t == id {
-                        continue;
-                    }
-                    let add: Vec<usize> = trans_acq[t]
-                        .iter()
-                        .copied()
-                        .filter(|c| !trans_acq[id].contains(c))
-                        .collect();
-                    if !add.is_empty() {
-                        trans_acq[id].extend(add);
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
+        // ---- transitive acquire-sets over confident edges ----
+        let trans_acq = graph.propagate_callers(
+            (0..n)
+                .map(|id| acqs[id].iter().map(|a| a.class).collect())
+                .collect(),
+            |caller: &BTreeSet<usize>, callee| {
+                (!callee.is_subset(caller)).then(|| caller.union(callee).copied().collect())
+            },
+        );
 
         // ---- order edges from hold regions ----
         let mut order: BTreeMap<(usize, usize), OrderEdge> = BTreeMap::new();
@@ -321,10 +280,9 @@ impl Concurrency {
         for (id, sym) in syms.iter().enumerate() {
             let Some(span) = sym.body else { continue };
             let tokens = files[sym.file].tokens;
-            let spans = &file_spans[sym.file];
             let marker = handshake_marker(tokens, span);
             for i in span.0..span.1.min(tokens.len()) {
-                if owner(spans, i) != Some(id) {
+                if !graph.owns(id, i) {
                     continue;
                 }
                 let Some(op) = scan_atomic_op(tokens, i) else {
@@ -383,9 +341,8 @@ impl Concurrency {
         for (id, sym) in syms.iter().enumerate() {
             let Some(span) = sym.body else { continue };
             let tokens = files[sym.file].tokens;
-            let spans = &file_spans[sym.file];
             for i in span.0..span.1.min(tokens.len()) {
-                if owner(spans, i) != Some(id) {
+                if !graph.owns(id, i) {
                     continue;
                 }
                 if let Some(what) = scan_blocking(tokens, i) {
@@ -406,22 +363,10 @@ impl Concurrency {
                 }
             }
         }
-        let mut trans_block: Vec<bool> = sites.iter().map(|s| !s.is_empty()).collect();
-        loop {
-            let mut changed = false;
-            for id in 0..n {
-                if trans_block[id] {
-                    continue;
-                }
-                if conf[id].iter().any(|&t| trans_block[t]) {
-                    trans_block[id] = true;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
+        let trans_block = graph.propagate_callers(
+            sites.iter().map(|s| !s.is_empty()).collect(),
+            graph::any_callee,
+        );
         for (id, sym) in syms.iter().enumerate() {
             let Some(span) = sym.body else { continue };
             if acqs[id].is_empty() {
@@ -504,15 +449,6 @@ impl Concurrency {
     pub fn report(&self) -> &str {
         &self.report
     }
-}
-
-/// Innermost-span token ownership: nested fns own their tokens.
-fn owner(spans: &[(SymbolId, (usize, usize))], tok: usize) -> Option<SymbolId> {
-    spans
-        .iter()
-        .filter(|(_, (a, b))| (*a..*b).contains(&tok))
-        .max_by_key(|(_, (a, _))| *a)
-        .map(|&(o, _)| o)
 }
 
 /// Walk the receiver chain backwards from the method ident at `m`,

@@ -117,31 +117,16 @@ impl Effects {
     #[must_use]
     pub fn collect(graph: &Graph, files: &[SemFile]) -> Effects {
         let n = graph.table.symbols.len();
-        let mut file_spans: Vec<Vec<(SymbolId, (usize, usize))>> = vec![Vec::new(); files.len()];
-        for (id, sym) in graph.table.symbols.iter().enumerate() {
-            if let Some(span) = sym.body {
-                file_spans[sym.file].push((id, span));
-            }
-        }
         let mut seeds: Vec<Vec<Seed>> = (0..n).map(|_| Vec::new()).collect();
         let mut unsafe_direct = vec![false; n];
         for (id, sym) in graph.table.symbols.iter().enumerate() {
             let Some(span) = sym.body else { continue };
-            let file = &files[sym.file];
-            let spans = &file_spans[sym.file];
-            let own = |tok: usize| {
-                spans
-                    .iter()
-                    .filter(|(_, (a, b))| (*a..*b).contains(&tok))
-                    .max_by_key(|(_, (a, _))| *a)
-                    .map(|&(o, _)| o)
-                    == Some(id)
-            };
-            let (mut s, uns) = scan_effects(file.tokens, span, own);
+            let (mut s, uns) =
+                scan_effects(files[sym.file].tokens, span, |tok| graph.owns(id, tok));
             unsafe_direct[id] = uns;
-            for line in graph.acquisition_lines(id) {
+            for a in graph.acquisitions(id) {
                 s.push(Seed {
-                    line,
+                    line: a.line,
                     mask: SYNC,
                     what: "lock acquisition".to_string(),
                 });
@@ -255,28 +240,6 @@ fn pure_crate_path(rel: &std::path::Path) -> bool {
         || p.contains("tests/fixtures/library/pure/")
 }
 
-/// First-root-wins witness over the over-approximate edges, restricted to
-/// `roots` (ascending, so the lowest-id root is deterministic).
-fn witness_from(graph: &Graph, roots: &[SymbolId]) -> Vec<SymbolId> {
-    let mut witness = vec![usize::MAX; graph.table.symbols.len()];
-    for &root in roots {
-        if witness[root] != usize::MAX {
-            continue;
-        }
-        witness[root] = root;
-        let mut queue = vec![root];
-        while let Some(s) = queue.pop() {
-            for &t in graph.callees(s) {
-                if witness[t] == usize::MAX {
-                    witness[t] = root;
-                    queue.push(t);
-                }
-            }
-        }
-    }
-    witness
-}
-
 /// All `ntv::hidden-io` / `ntv::ambient-clock` / `ntv::effect-escape` hits
 /// as (file index, hit). Diagnostics land at the seed site with a witness
 /// chain root in the message, mirroring `ntv::panic-path`.
@@ -286,11 +249,11 @@ pub fn effect_hits(graph: &Graph, files: &[SemFile], eff: &Effects) -> Vec<(usiz
     let clock_roots: Vec<SymbolId> = (0..syms.len())
         .filter(|&id| syms[id].is_pub && sampling_root(&syms[id].name))
         .collect();
-    let clock_witness = witness_from(graph, &clock_roots);
+    let clock_witness = graph.witness_from(&clock_roots);
     let pure_roots: Vec<SymbolId> = (0..syms.len())
         .filter(|&id| syms[id].is_pub && pure_crate_path(files[syms[id].file].rel))
         .collect();
-    let pure_witness = witness_from(graph, &pure_roots);
+    let pure_witness = graph.witness_from(&pure_roots);
 
     let mut out = Vec::new();
     for (id, sym) in syms.iter().enumerate() {
@@ -410,18 +373,36 @@ fn is_std_qualifier(q: &str) -> bool {
     STD_QUALIFIERS.binary_search(&q).is_ok() || q.starts_with("Atomic") || q.starts_with("NonZero")
 }
 
+/// What a symbol reaches over confident edges, joined bitwise.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Reach {
+    /// Effects reachable through *unwaived* seeds — blocking.
+    unwaived: u8,
+    /// Effects reachable through waived seeds — gated.
+    waived: u8,
+    /// Widened by an ambiguous call somewhere in the filtered closure.
+    unknown: bool,
+    /// `unsafe` reachable — a hard blocked marker.
+    unsafe_reach: bool,
+}
+
+impl Reach {
+    /// Caller join for [`Graph::propagate_callers`].
+    fn join(&self, callee: &Reach) -> Option<Reach> {
+        let joined = Reach {
+            unwaived: self.unwaived | callee.unwaived,
+            waived: self.waived | callee.waived,
+            unknown: self.unknown | callee.unknown,
+            unsafe_reach: self.unsafe_reach | callee.unsafe_reach,
+        };
+        (joined != *self).then_some(joined)
+    }
+}
+
 /// Confidence-filtered propagation state for the readiness report.
 struct Propagated {
-    /// Effects reachable through *unwaived* seeds — blocking.
-    unwaived: Vec<u8>,
-    /// Effects reachable through waived seeds — gated.
-    waived: Vec<u8>,
-    /// Widened by an ambiguous call somewhere in the filtered closure.
-    unknown: Vec<bool>,
-    /// `unsafe` reachable — a hard blocked marker.
-    unsafe_reach: Vec<bool>,
-    /// Filtered forward edges (ascending, deduplicated).
-    fedges: Vec<Vec<SymbolId>>,
+    /// Per-symbol reach, propagated over confident edges.
+    reach: Vec<Reach>,
     /// The ambiguous call name that widened this symbol directly, if any.
     widen_call: Vec<Option<String>>,
 }
@@ -452,78 +433,46 @@ impl FileWaivers {
 /// Fixed-point propagation over confidence-filtered edges.
 fn propagate(graph: &Graph, eff: &Effects, waivers: &[FileWaivers]) -> Propagated {
     let n = graph.table.symbols.len();
-    let mut p = Propagated {
-        unwaived: vec![0; n],
-        waived: vec![0; n],
-        unknown: vec![false; n],
-        unsafe_reach: eff.unsafe_direct.clone(),
-        fedges: vec![Vec::new(); n],
-        widen_call: vec![None; n],
-    };
+    let mut reach = vec![Reach::default(); n];
+    let mut widen_call = vec![None; n];
     for id in 0..n {
         let sym = &graph.table.symbols[id];
+        let r = &mut reach[id];
+        r.unsafe_reach = eff.unsafe_direct[id];
         for seed in &eff.seeds[id] {
             if waivers[sym.file].covers(bit_rule(seed.mask), seed.line) {
-                p.waived[id] |= seed.mask;
+                r.waived |= seed.mask;
             } else {
-                p.unwaived[id] |= seed.mask;
+                r.unwaived |= seed.mask;
             }
         }
         for call in graph.calls(id) {
-            if call.confident {
-                p.fedges[id].extend_from_slice(&call.candidates);
-                continue;
-            }
-            if call.site.is_method || call.candidates.is_empty() {
-                continue; // assumed std / resolves to nothing
+            if call.confident || call.site.is_method || call.candidates.is_empty() {
+                continue; // followed by propagation / assumed std / resolves to nothing
             }
             if call.site.qualifier.as_deref().is_some_and(is_std_qualifier) {
                 continue; // std constructor/path: effects seeded at the site
             }
-            if p.widen_call[id].is_none() {
-                p.widen_call[id] = Some(call.site.name.clone());
+            if widen_call[id].is_none() {
+                widen_call[id] = Some(call.site.name.clone());
             }
-            p.unknown[id] = true;
+            r.unknown = true;
         }
-        p.fedges[id].sort_unstable();
-        p.fedges[id].dedup();
     }
-    loop {
-        let mut changed = false;
-        for id in 0..n {
-            for k in 0..p.fedges[id].len() {
-                let t = p.fedges[id][k];
-                let uw = p.unwaived[id] | p.unwaived[t];
-                let w = p.waived[id] | p.waived[t];
-                let un = p.unknown[id] | p.unknown[t];
-                let us = p.unsafe_reach[id] | p.unsafe_reach[t];
-                if uw != p.unwaived[id]
-                    || w != p.waived[id]
-                    || un != p.unknown[id]
-                    || us != p.unsafe_reach[id]
-                {
-                    p.unwaived[id] = uw;
-                    p.waived[id] = w;
-                    p.unknown[id] = un;
-                    p.unsafe_reach[id] = us;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            return p;
-        }
+    Propagated {
+        reach: graph.propagate_callers(reach, Reach::join),
+        widen_call,
     }
 }
 
 /// Shortest path (by BFS over filtered edges, ascending neighbors) from
 /// `from` to the first symbol satisfying `hit`, inclusive of both ends.
 fn witness_chain(
-    p: &Propagated,
+    graph: &Graph,
     from: SymbolId,
     hit: impl Fn(SymbolId) -> bool,
 ) -> Option<Vec<SymbolId>> {
-    let n = p.fedges.len();
+    let n = graph.table.symbols.len();
     let mut parent: Vec<Option<SymbolId>> = vec![None; n];
     let mut seen = vec![false; n];
     let mut queue = VecDeque::from([from]);
@@ -539,7 +488,7 @@ fn witness_chain(
             chain.reverse();
             return Some(chain);
         }
-        for &t in &p.fedges[s] {
+        for &t in graph.confident_callees(s) {
             if !seen[t] {
                 seen[t] = true;
                 parent[t] = Some(s);
@@ -593,10 +542,11 @@ pub fn nostd_readiness_report(
             json::escape(&rel),
             sym.line
         );
-        let blocked = p.unsafe_reach[id] || p.unwaived[id] != 0;
-        let gated = p.waived[id] != 0 || p.unknown[id];
+        let r = p.reach[id];
+        let blocked = r.unsafe_reach || r.unwaived != 0;
+        let gated = r.waived != 0 || r.unknown;
         let (slot, entry) = if blocked {
-            let chain = witness_chain(&p, id, |t| {
+            let chain = witness_chain(graph, id, |t| {
                 eff.unsafe_direct[t]
                     || eff.seeds[t]
                         .iter()
@@ -606,27 +556,27 @@ pub fn nostd_readiness_report(
             let chain_fqs: Vec<String> = chain.iter().map(|&t| syms[t].fq.clone()).collect();
             let mut e = format!(
                 "{head},\"status\":\"blocked\",\"effects\":{},\"witness\":{}",
-                json::string_array(&mask_names(p.unwaived[id])),
+                json::string_array(&mask_names(r.unwaived)),
                 json::string_array(&chain_fqs),
             );
-            if p.unsafe_reach[id] {
+            if r.unsafe_reach {
                 e.push_str(",\"unsafe\":true");
             }
             e.push('}');
             (2, e)
         } else if gated {
-            let mut effects = mask_names(p.waived[id]);
-            if p.unknown[id] {
+            let mut effects = mask_names(r.waived);
+            if r.unknown {
                 effects.push("unknown".to_string());
             }
-            let via = witness_chain(&p, id, |t| {
+            let via = witness_chain(graph, id, |t| {
                 eff.seeds[t]
                     .iter()
                     .any(|s| waivers[syms[t].file].covers(bit_rule(s.mask), s.line))
             })
             .map(|chain| syms[*chain.last().unwrap_or(&id)].fq.clone())
             .or_else(|| {
-                witness_chain(&p, id, |t| p.widen_call[t].is_some()).map(|chain| {
+                witness_chain(graph, id, |t| p.widen_call[t].is_some()).map(|chain| {
                     let t = *chain.last().unwrap_or(&id);
                     format!(
                         "{} -> `{}`(unresolved)",

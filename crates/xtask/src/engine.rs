@@ -411,6 +411,15 @@ impl Waivers {
     }
 }
 
+/// A machine-readable analysis report (`xtask lint --report <name>`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Report {
+    /// `nostd-readiness`: every pub fn classified for the no-std/WASM split.
+    NostdReadiness,
+    /// `concurrency`: the lock/atomic inventory (`ntv-concurrency/1`).
+    Concurrency,
+}
+
 /// Per-invocation switches that are not policy (severities) or scope (file
 /// classes): extra analyses the caller opts into.
 #[derive(Debug, Default, Clone)]
@@ -418,15 +427,8 @@ pub struct LintOptions {
     /// Report `ntv:allow(..)` waivers that suppressed zero findings this
     /// run as `ntv::dead-waiver` diagnostics (`xtask lint --check-waivers`).
     pub check_waivers: bool,
-    /// Produce the batch-readiness JSON worklist (`xtask lint --report
-    /// batch-readiness`) in [`LintReport::batch_readiness`].
-    pub batch_readiness: bool,
-    /// Produce the no-std/WASM readiness JSON worklist (`xtask lint
-    /// --report nostd-readiness`) in [`LintReport::nostd_readiness`].
-    pub nostd_readiness: bool,
-    /// Produce the concurrency inventory (`xtask lint --report
-    /// concurrency`) in [`LintReport::concurrency`].
-    pub concurrency: bool,
+    /// The report to render into [`LintReport::report`], if any.
+    pub report: Option<Report>,
 }
 
 /// Everything the engine knows about one file mid-run.
@@ -548,8 +550,7 @@ pub fn lint_sources(
         .filter(|(_, s)| s.class == FileClass::Library)
         .map(|(i, _)| i)
         .collect();
-    let mut batch_readiness = None;
-    let mut nostd_readiness = None;
+    let mut rendered = None;
     if !lib_idx.is_empty() {
         let sem_hits = {
             let sem_files: Vec<graph::SemFile> = lib_idx
@@ -570,7 +571,7 @@ pub fn lint_sources(
             hits.extend(dataflow::reduction_hits(&g, &sem_files));
             let eff = effects::Effects::collect(&g, &sem_files);
             hits.extend(effects::effect_hits(&g, &sem_files, &eff));
-            if options.nostd_readiness {
+            if options.report == Some(Report::NostdReadiness) {
                 // Waived effect lines per library file (waiver line + next,
                 // per rule): the report classifies waived effects as
                 // `gated`, unwaived ones as `blocked`.
@@ -593,27 +594,9 @@ pub fn lint_sources(
                         }
                     })
                     .collect();
-                nostd_readiness = Some(effects::nostd_readiness_report(
+                rendered = Some(effects::nostd_readiness_report(
                     &g, &sem_files, &eff, &waivers,
                 ));
-            }
-            if options.batch_readiness {
-                // Lines covered by a reduction-order waiver (the waiver
-                // line and the next), per library file: the report
-                // distinguishes waived pinned folds from unmigrated ones.
-                let waived: Vec<std::collections::BTreeSet<u32>> = lib_idx
-                    .iter()
-                    .map(|&i| {
-                        states[i]
-                            .waivers
-                            .entries
-                            .iter()
-                            .filter(|e| e.rule == RuleId::ReductionOrder)
-                            .flat_map(|e| [e.line, e.line + 1])
-                            .collect()
-                    })
-                    .collect();
-                batch_readiness = Some(dataflow::batch_readiness_report(&g, &sem_files, &waived));
             }
             hits
         };
@@ -632,7 +615,6 @@ pub fn lint_sources(
         .filter(|(_, s)| matches!(s.class, FileClass::Library | FileClass::Harness))
         .map(|(i, _)| i)
         .collect();
-    let mut concurrency_report = None;
     if !conc_idx.is_empty() {
         let conc_hits = {
             let sem_files: Vec<graph::SemFile> = conc_idx
@@ -650,8 +632,8 @@ pub fn lint_sources(
             let g = graph::Graph::build(&sem_files);
             let eff = effects::Effects::collect(&g, &sem_files);
             let conc = concurrency::Concurrency::analyze(&g, &sem_files, &eff);
-            if options.concurrency {
-                concurrency_report = Some(conc.report().to_string());
+            if options.report == Some(Report::Concurrency) {
+                rendered = Some(conc.report().to_string());
             }
             conc.into_hits()
         };
@@ -688,9 +670,7 @@ pub fn lint_sources(
 
     let mut report = LintReport {
         files_scanned: files.len(),
-        batch_readiness,
-        nostd_readiness,
-        concurrency: concurrency_report,
+        report: rendered,
         ..LintReport::default()
     };
     for st in states {
@@ -814,15 +794,8 @@ pub struct LintReport {
     pub diagnostics: Vec<Diagnostic>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// The batch-readiness JSON worklist, when
-    /// [`LintOptions::batch_readiness`] was set.
-    pub batch_readiness: Option<String>,
-    /// The no-std/WASM readiness JSON worklist, when
-    /// [`LintOptions::nostd_readiness`] was set.
-    pub nostd_readiness: Option<String>,
-    /// The concurrency inventory (`ntv-concurrency/1`), when
-    /// [`LintOptions::concurrency`] was set.
-    pub concurrency: Option<String>,
+    /// The rendered JSON report named by [`LintOptions::report`], if any.
+    pub report: Option<String>,
 }
 
 impl LintReport {

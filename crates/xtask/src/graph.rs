@@ -1,9 +1,24 @@
-//! Workspace call graph and the reachability-powered semantic rules.
+//! Workspace call graph: the one owner of call-graph mechanics, plus the
+//! two rules that need nothing else.
 //!
 //! Built on the [`parser`](crate::parser) declaration extraction plus
-//! [`resolve`](crate::resolve) name resolution, this module answers the
-//! question the per-file rules cannot: *is this panicking operation
-//! reachable from a public API?* Three analyses run over the graph:
+//! [`resolve`](crate::resolve) name resolution, [`Graph`] answers the
+//! question the per-file rules cannot: *is this operation reachable from a
+//! public API?* Every semantic layer ([`dataflow`](crate::dataflow),
+//! [`effects`](crate::effects), [`concurrency`](crate::concurrency)) reads
+//! these pieces from it instead of re-deriving them:
+//!
+//! * **ownership** — innermost-span token ownership (`Graph::owns`), so a
+//!   nested fn's tokens belong to the nested fn only;
+//! * **edges** — over-approximate callees for reachability
+//!   ([`Graph::callees`]) and the confident subset that caller facts
+//!   travel over (`Graph::confident_callees`);
+//! * **witness** — first-root-wins reachability from any root list
+//!   (`Graph::witness_from`); the public-root witness is kept;
+//! * **fixpoint** — reverse propagation of a monotone per-symbol fact up
+//!   the confident edges (`Graph::propagate_callers`).
+//!
+//! Two rules run directly on the graph:
 //!
 //! * **`ntv::panic-path`** — documented-invariant panic forms (`.expect(..)`,
 //!   message-carrying `unreachable!(..)`) and slice indexing by a
@@ -20,7 +35,6 @@
 //!   `OnceLock::get_or_init` closures that call back into lock-acquiring
 //!   code. This is exactly the discipline `ntv_core::op_cache` documents:
 //!   the map lock is never held across a build, racers park per-entry.
-//! * Reachability itself, reused by the engine for dead-waiver analysis.
 //!
 //! The graph is deterministic: files arrive sorted by path, symbols are
 //! numbered in (file, line) order, and every worklist is processed in
@@ -90,9 +104,9 @@ pub struct Call {
     /// Every workspace symbol the call may target (over-approximate).
     pub candidates: Vec<SymbolId>,
     /// Whether resolution was confident. The precision-sensitive analyses
-    /// (lock discipline, effect propagation for the readiness report) only
-    /// follow `candidates` when this is set; over-approximate fallbacks go
-    /// into `edges` for reachability and widen the effect lattice instead.
+    /// (lock discipline, caller-fact propagation) only follow `candidates`
+    /// when this is set; over-approximate fallbacks go into `edges` for
+    /// reachability and widen the effect lattice instead.
     pub confident: bool,
 }
 
@@ -100,8 +114,14 @@ pub struct Call {
 pub struct Graph {
     /// Symbol table (public so the engine can display roots).
     pub table: SymbolTable,
+    /// Per file, every (symbol, body span) in id order: the one table
+    /// behind innermost-span token ownership.
+    spans: Vec<Vec<(SymbolId, (usize, usize))>>,
     /// Over-approximate callees per symbol (ascending, deduplicated).
     edges: Vec<Vec<SymbolId>>,
+    /// Confident callees per symbol (ascending, deduplicated, self-free):
+    /// the only edges caller facts travel over.
+    conf_edges: Vec<Vec<SymbolId>>,
     /// Resolved call list per symbol, with token positions.
     calls: Vec<Vec<Call>>,
     /// Per-symbol panic operations (line, op).
@@ -135,56 +155,52 @@ impl Graph {
             .collect();
         let table = SymbolTable::build(&inputs);
         let n = table.symbols.len();
-
-        // Innermost-span ownership per file: (symbol, body span), so calls
-        // inside a nested fn are attributed to the nested fn only.
-        let mut file_spans: Vec<Vec<(SymbolId, (usize, usize))>> = vec![Vec::new(); files.len()];
+        let mut spans: Vec<Vec<(SymbolId, (usize, usize))>> = vec![Vec::new(); files.len()];
         for (id, sym) in table.symbols.iter().enumerate() {
             if let Some(span) = sym.body {
-                file_spans[sym.file].push((id, span));
+                spans[sym.file].push((id, span));
             }
         }
-        let owner = |file: usize, tok: usize| -> Option<SymbolId> {
-            file_spans[file]
-                .iter()
-                .filter(|(_, (a, b))| (*a..*b).contains(&tok))
-                .max_by_key(|(_, (a, _))| *a)
-                .map(|&(id, _)| id)
+        let mut g = Graph {
+            table,
+            spans,
+            edges: vec![Vec::new(); n],
+            conf_edges: vec![Vec::new(); n],
+            calls: (0..n).map(|_| Vec::new()).collect(),
+            panic_ops: vec![Vec::new(); n],
+            acquisitions: vec![Vec::new(); n],
+            once_regions: vec![Vec::new(); n],
+            witness: Vec::new(),
+            trans_lock: Vec::new(),
+            reaches_build: Vec::new(),
         };
 
-        let mut edges: Vec<Vec<SymbolId>> = vec![Vec::new(); n];
-        let mut edges_conf: Vec<Vec<SymbolId>> = vec![Vec::new(); n];
-        let mut calls: Vec<Vec<Call>> = (0..n).map(|_| Vec::new()).collect();
-        let mut panic_ops: Vec<Vec<(u32, PanicOp)>> = vec![Vec::new(); n];
-        let mut acquisitions: Vec<Vec<Acquisition>> = vec![Vec::new(); n];
-        let mut once_regions: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-
-        for (id, sym) in table.symbols.iter().enumerate() {
+        for id in 0..n {
+            let sym = &g.table.symbols[id];
             let Some(span) = sym.body else { continue };
             let file = &files[sym.file];
             let impl_ty = sym.impl_ty.as_deref();
+            let mut calls = Vec::new();
             for call in parser::calls_in(file.tokens, span) {
-                if owner(sym.file, call.tok) != Some(id) {
+                if !g.owns(id, call.tok) {
                     continue; // belongs to a nested fn
                 }
-                let (mut all, conf) = table.resolve_with_confidence(&call, impl_ty);
+                let (mut all, conf) = g.table.resolve_with_confidence(&call, impl_ty);
                 all.retain(|&t| t != id); // self-recursion adds nothing
-                for &t in &all {
-                    edges[id].push(t);
-                    if conf {
-                        edges_conf[id].push(t);
-                    }
+                g.edges[id].extend_from_slice(&all);
+                if conf {
+                    g.conf_edges[id].extend_from_slice(&all);
                 }
-                calls[id].push(Call {
+                calls.push(Call {
                     site: call,
                     candidates: all,
                     confident: conf,
                 });
             }
-            edges[id].sort_unstable();
-            edges[id].dedup();
-            edges_conf[id].sort_unstable();
-            edges_conf[id].dedup();
+            for list in [&mut g.edges[id], &mut g.conf_edges[id]] {
+                list.sort_unstable();
+                list.dedup();
+            }
 
             let params: BTreeSet<String> = file.parsed.fns[sym.sig]
                 .params
@@ -197,24 +213,52 @@ impl Graph {
                         .collect::<Vec<_>>()
                 })
                 .collect();
-            panic_ops[id] = scan_panic_ops(file.tokens, span, &params, |tok| {
-                owner(sym.file, tok) == Some(id)
-            });
-            acquisitions[id] = scan_acquisitions(file.tokens, span);
-            once_regions[id] = scan_once_regions(file.tokens, span);
+            g.panic_ops[id] = scan_panic_ops(file.tokens, span, &params, |tok| g.owns(id, tok));
+            g.acquisitions[id] = scan_acquisitions(file.tokens, span);
+            g.once_regions[id] = scan_once_regions(file.tokens, span);
+            g.calls[id] = calls;
         }
 
-        // Reachability from public roots, first root (lowest id) wins as
-        // the reported witness. Roots processed ascending → deterministic.
-        let mut witness = vec![usize::MAX; n];
-        for root in table.public_roots() {
+        g.witness = g.witness_from(&g.table.public_roots());
+        // "Transitively acquires a lock" and "transitively reaches
+        // PathDistribution::build".
+        let direct_lock: Vec<bool> = g.acquisitions.iter().map(|a| !a.is_empty()).collect();
+        let is_build: Vec<bool> = g
+            .table
+            .symbols
+            .iter()
+            .map(|s| s.name == "build" && s.impl_ty.as_deref() == Some("PathDistribution"))
+            .collect();
+        g.trans_lock = g.propagate_callers(direct_lock, any_callee);
+        g.reaches_build = g.propagate_callers(is_build, any_callee);
+        g
+    }
+
+    /// Innermost-span token ownership: does `tok` of `sym`'s file belong
+    /// to `sym` itself rather than to a fn nested inside it?
+    #[must_use]
+    pub(crate) fn owns(&self, sym: SymbolId, tok: usize) -> bool {
+        self.spans[self.table.symbols[sym].file]
+            .iter()
+            .filter(|(_, (a, b))| (*a..*b).contains(&tok))
+            .max_by_key(|(_, (a, _))| *a)
+            .is_some_and(|&(o, _)| o == sym)
+    }
+
+    /// First-root-wins reachability over the over-approximate edges: the
+    /// witness root per symbol (`usize::MAX` = unreachable). `roots` come
+    /// ascending, so the lowest-id root reaching a symbol is its witness.
+    #[must_use]
+    pub(crate) fn witness_from(&self, roots: &[SymbolId]) -> Vec<SymbolId> {
+        let mut witness = vec![usize::MAX; self.table.symbols.len()];
+        for &root in roots {
             if witness[root] != usize::MAX {
                 continue;
             }
-            let mut queue = vec![root];
             witness[root] = root;
+            let mut queue = vec![root];
             while let Some(s) = queue.pop() {
-                for &t in &edges[s] {
+                for &t in self.callees(s) {
                     if witness[t] == usize::MAX {
                         witness[t] = root;
                         queue.push(t);
@@ -222,28 +266,33 @@ impl Graph {
                 }
             }
         }
+        witness
+    }
 
-        // Reverse propagation: "transitively acquires a lock" and
-        // "transitively reaches PathDistribution::build".
-        let direct_lock: Vec<bool> = (0..n).map(|id| !acquisitions[id].is_empty()).collect();
-        let is_build: Vec<bool> = table
-            .symbols
-            .iter()
-            .map(|s| s.name == "build" && s.impl_ty.as_deref() == Some("PathDistribution"))
-            .collect();
-        let trans_lock = propagate_callers(&edges_conf, &direct_lock);
-        let reaches_build = propagate_callers(&edges_conf, &is_build);
-
-        Graph {
-            table,
-            edges,
-            calls,
-            panic_ops,
-            acquisitions,
-            once_regions,
-            witness,
-            trans_lock,
-            reaches_build,
+    /// Reverse-propagate per-symbol facts up the confident call edges to
+    /// their least fixpoint: `join(caller, callee)` returns the caller's
+    /// grown fact, or `None` when the callee adds nothing. Every join used
+    /// is monotone over a finite lattice, so the result does not depend on
+    /// visit order; sweeps run in ascending id order until nothing grows.
+    #[must_use]
+    pub(crate) fn propagate_callers<T>(
+        &self,
+        mut facts: Vec<T>,
+        join: impl Fn(&T, &T) -> Option<T>,
+    ) -> Vec<T> {
+        loop {
+            let mut changed = false;
+            for id in 0..facts.len() {
+                for &t in &self.conf_edges[id] {
+                    if let Some(grown) = join(&facts[id], &facts[t]) {
+                        facts[id] = grown;
+                        changed = true;
+                    }
+                }
+            }
+            if !changed {
+                return facts;
+            }
         }
     }
 
@@ -258,26 +307,6 @@ impl Graph {
     #[must_use]
     pub fn witness_root(&self, sym: SymbolId) -> Option<SymbolId> {
         (self.witness[sym] != usize::MAX).then(|| self.witness[sym])
-    }
-
-    /// Forward closure: every symbol reachable from `roots` (including the
-    /// roots themselves), ascending — deterministic for report generation.
-    #[must_use]
-    pub fn reach_from(&self, roots: &[SymbolId]) -> Vec<SymbolId> {
-        let mut seen = vec![false; self.table.symbols.len()];
-        let mut queue: Vec<SymbolId> = roots.to_vec();
-        for &r in roots {
-            seen[r] = true;
-        }
-        while let Some(s) = queue.pop() {
-            for &t in &self.edges[s] {
-                if !seen[t] {
-                    seen[t] = true;
-                    queue.push(t);
-                }
-            }
-        }
-        (0..seen.len()).filter(|&i| seen[i]).collect()
     }
 
     /// All `ntv::panic-path` hits, as (file index, hit), in symbol order.
@@ -393,56 +422,38 @@ impl Graph {
         out
     }
 
-    /// Direct callees of `sym` (for tests and future rules).
+    /// Over-approximate direct callees of `sym`: the edges every witness
+    /// search walks.
     #[must_use]
     pub fn callees(&self, sym: SymbolId) -> &[SymbolId] {
         &self.edges[sym]
     }
 
-    /// Resolved call sites inside `sym`'s body, in body order (the effect
-    /// layer's input for confidence-filtered propagation).
+    /// Confident direct callees of `sym`: the edges caller facts travel
+    /// over, and the forward edges of the readiness witness chains.
+    #[must_use]
+    pub(crate) fn confident_callees(&self, sym: SymbolId) -> &[SymbolId] {
+        &self.conf_edges[sym]
+    }
+
+    /// Resolved call sites inside `sym`'s body, in body order.
     #[must_use]
     pub fn calls(&self, sym: SymbolId) -> &[Call] {
         &self.calls[sym]
     }
 
-    /// Lines of recognized lock acquisitions in `sym`'s body — `sync`
-    /// effect seeds the token scan cannot see (an acquisition through a
-    /// field never names the lock type).
-    #[must_use]
-    pub(crate) fn acquisition_lines(&self, sym: SymbolId) -> Vec<u32> {
-        self.acquisitions[sym].iter().map(|a| a.line).collect()
-    }
-
     /// Recognized lock acquisitions inside `sym`'s body, in token order —
-    /// the raw input of the [`concurrency`](crate::concurrency) lock-class
-    /// and order-graph analysis.
+    /// `sync` effect seeds and the raw input of the
+    /// [`concurrency`](crate::concurrency) lock-class analysis.
     #[must_use]
     pub(crate) fn acquisitions(&self, sym: SymbolId) -> &[Acquisition] {
         &self.acquisitions[sym]
     }
 }
 
-/// Reverse-propagate `seed` up the call graph: a symbol is marked if it is
-/// seeded or calls (transitively) a marked symbol. Fixed-point iteration in
-/// ascending id order; the graph is small (hundreds of nodes).
-fn propagate_callers(edges: &[Vec<SymbolId>], seed: &[bool]) -> Vec<bool> {
-    let mut marked = seed.to_vec();
-    loop {
-        let mut changed = false;
-        for id in 0..edges.len() {
-            if marked[id] {
-                continue;
-            }
-            if edges[id].iter().any(|&t| marked[t]) {
-                marked[id] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            return marked;
-        }
-    }
+/// Boolean caller join: a caller is marked once any callee is.
+pub(crate) fn any_callee(caller: &bool, callee: &bool) -> Option<bool> {
+    (*callee && !*caller).then_some(true)
 }
 
 /// Scan a body span for panic operations, keeping only tokens owned by the
@@ -672,6 +683,8 @@ pub(crate) fn hold_region(tokens: &[Token], span: (usize, usize), acq: &Acquisit
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::concurrency::Concurrency;
+    use crate::effects::{effect_hits, nostd_readiness_report, Effects, FileWaivers};
     use crate::lexer::lex;
     use crate::parser::parse;
     use std::path::PathBuf;
@@ -843,5 +856,85 @@ impl C {
         let alone = [files[1]];
         let graph_alone = Graph::build(&alone);
         assert!(graph_alone.panic_path_hits().is_empty());
+    }
+
+    #[test]
+    fn facts_propagate_through_a_recursion_cycle() {
+        // `api` holds a guard across a call into the `a` <-> `b` cycle; only
+        // `b` calls `leaf`, which prints, acquires a lock and blocks on
+        // `recv`. Every caller fact must cross the cycle to reach `api`.
+        let src = "
+use std::sync::mpsc::Receiver;
+use std::sync::Mutex;
+static STATE: Mutex<u64> = Mutex::new(0);
+pub fn api(rx: &Receiver<u64>) -> u64 {
+    let guard = STATE.lock().expect(\"state\");
+    let v = a(rx, 3);
+    *guard + v
+}
+fn a(rx: &Receiver<u64>, n: u64) -> u64 { b(rx, n) }
+fn b(rx: &Receiver<u64>, n: u64) -> u64 { if n == 0 { leaf(rx) } else { a(rx, n - 1) } }
+fn leaf(rx: &Receiver<u64>) -> u64 {
+    println!(\"leaf\");
+    *STATE.lock().expect(\"state\") += 1;
+    rx.recv().unwrap_or(0)
+}
+";
+        let lexed = lex(src);
+        let parsed = parse(&lexed);
+        let rel = PathBuf::from("crates/soda/src/cycle.rs");
+        let files = [SemFile {
+            rel: &rel,
+            tokens: &lexed.tokens,
+            parsed: &parsed,
+            test_ranges: &[],
+        }];
+        let graph = Graph::build(&files);
+        let eff = Effects::collect(&graph, &files);
+        let mut hits = graph.lock_discipline_hits(&files);
+        hits.extend(effect_hits(&graph, &files, &eff));
+        hits.extend(Concurrency::analyze(&graph, &files, &eff).into_hits());
+        let mut got: Vec<(RuleId, u32)> = hits
+            .iter()
+            .filter(|(_, h)| {
+                matches!(
+                    h.rule,
+                    RuleId::HiddenIo | RuleId::LockDiscipline | RuleId::BlockingUnderLock
+                )
+            })
+            .map(|(_, h)| (h.rule, h.line))
+            .collect();
+        got.sort();
+        let mut want = vec![
+            (RuleId::LockDiscipline, 7),
+            (RuleId::HiddenIo, 13),
+            (RuleId::BlockingUnderLock, 7),
+        ];
+        want.sort();
+        assert_eq!(got, want, "{hits:?}");
+        let message = |rule: RuleId| {
+            hits.iter()
+                .find(|(_, h)| h.rule == rule)
+                .map(|(_, h)| h.message.clone())
+                .expect("hit present")
+        };
+        assert!(message(RuleId::HiddenIo).contains("public API `ntv_soda::cycle::api`"));
+        assert!(message(RuleId::LockDiscipline).contains("lock-acquiring `ntv_soda::cycle::a`"));
+        assert!(message(RuleId::BlockingUnderLock).contains("blocking `ntv_soda::cycle::a`"));
+
+        // With `api`'s own acquisition waived, the blocking witness is the
+        // shortest confident chain through the cycle into `leaf`.
+        let waivers = [FileWaivers {
+            effect_escape: BTreeSet::from([6u32]),
+            ..FileWaivers::default()
+        }];
+        let report = nostd_readiness_report(&graph, &files, &eff, &waivers);
+        assert!(
+            report.contains(
+                "\"witness\":[\"ntv_soda::cycle::api\",\"ntv_soda::cycle::a\",\
+                 \"ntv_soda::cycle::b\",\"ntv_soda::cycle::leaf\"]"
+            ),
+            "{report}"
+        );
     }
 }

@@ -1,10 +1,11 @@
 //! The one byte-stable JSON writer behind every machine-readable report.
 //!
 //! Four emitters share this module — the `--format json` diagnostic array,
-//! the SARIF log, and the `batch-readiness` / `nostd-readiness` worklists.
-//! Each hand-assembles its own key order (the workspace is offline; no
-//! serde), but the parts that must agree byte-for-byte across runs and
-//! emitters — string escaping and array layout — live here exactly once.
+//! the SARIF log, the `nostd-readiness` worklist and the `concurrency`
+//! inventory. Each hand-assembles its own key order (the workspace is
+//! offline; no serde), but the parts that must agree byte-for-byte across
+//! runs and emitters — string escaping and array layout — live here
+//! exactly once.
 //!
 //! The array layout contract: `[` on the current line, one pre-rendered
 //! item per line at `item_indent` spaces, `,`-separated, closing `]` at

@@ -25,10 +25,11 @@
 //!   `--format sarif` for code-scanning upload).
 //! * A semantic layer sits on top of the per-file pass: [`resolve`] builds
 //!   a workspace symbol table with name-shaped (soundly over-approximate)
-//!   path resolution, [`graph`] assembles the call graph and runs
-//!   reachability, powering `ntv::panic-path` and `ntv::lock-discipline`;
-//!   the engine tracks waiver usage so `--check-waivers` can deny waivers
-//!   that suppress nothing.
+//!   path resolution, [`graph`] assembles the call graph and owns its
+//!   mechanics (token ownership, confident edges, witness search, caller
+//!   fixpoint) for the [`dataflow`], [`effects`] and [`concurrency`]
+//!   layers; the engine tracks waiver usage so `--check-waivers` can deny
+//!   waivers that suppress nothing.
 //! * Fixtures under `tests/fixtures/` pin every rule's behaviour — each bad
 //!   fixture must keep tripping its diagnostic, and the clean fixture plus
 //!   the real workspace must stay quiet.
@@ -47,7 +48,7 @@ pub mod sarif;
 
 pub use engine::{
     lint_source, lint_sources, lint_workspace, lint_workspace_with, Diagnostic, FileClass,
-    LintOptions, LintReport, Override, Policy, Severity,
+    LintOptions, LintReport, Override, Policy, Report, Severity,
 };
 pub use rules::RuleId;
 

@@ -4,7 +4,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use xtask::{engine, json, sarif, Policy, RuleId, Severity};
+use xtask::{engine, json, sarif, Policy, Report, RuleId, Severity};
 
 const USAGE: &str = "\
 usage: cargo xtask <command>
@@ -26,12 +26,8 @@ lint options:
                    stderr; both are byte-identical across runs
   --check-waivers  additionally deny `ntv:allow(..)` waivers that suppress
                    zero findings (dead waivers)
-  --report <name>  emit a machine-readable analysis report on stdout
+  --report <name>  emit one machine-readable analysis report on stdout
                    (summary and diagnostics go to stderr). Reports:
-                   batch-readiness — the vectorization worklist: every fn
-                   reachable from a public `sample_*` root with its f64
-                   reduction sites classified order-sensitive / order-free;
-                   byte-identical across runs
                    nostd-readiness — the no-std/WASM worklist: every pub fn
                    classified portable / gated (waived or feature-gated
                    effects) / blocked (unwaived effects or unsafe, with the
@@ -76,9 +72,7 @@ fn lint(args: &[String]) -> ExitCode {
     let mut warn_only = false;
     let mut quiet = false;
     let mut check_waivers = false;
-    let mut batch_readiness = false;
-    let mut nostd_readiness = false;
-    let mut concurrency = false;
+    let mut requested: Option<Report> = None;
     let mut format = Format::Text;
     let mut bench_out: Option<PathBuf> = None;
     let mut only_rules: Vec<RuleId> = Vec::new();
@@ -103,18 +97,20 @@ fn lint(args: &[String]) -> ExitCode {
                 }
             },
             "--check-waivers" => check_waivers = true,
-            "--report" => match it.next().map(String::as_str) {
-                Some("batch-readiness") => batch_readiness = true,
-                Some("nostd-readiness") => nostd_readiness = true,
-                Some("concurrency") => concurrency = true,
-                _ => {
-                    eprintln!(
-                        "xtask lint: --report needs `batch-readiness`, `nostd-readiness` \
-                         or `concurrency`"
-                    );
+            "--report" => {
+                let named = match it.next().map(String::as_str) {
+                    Some("nostd-readiness") => Report::NostdReadiness,
+                    Some("concurrency") => Report::Concurrency,
+                    _ => {
+                        eprintln!("xtask lint: --report needs `nostd-readiness` or `concurrency`");
+                        return ExitCode::from(2);
+                    }
+                };
+                if requested.replace(named).is_some() {
+                    eprintln!("xtask lint: --report may be given once");
                     return ExitCode::from(2);
                 }
-            },
+            }
             "--format" => match it.next().map(String::as_str) {
                 Some("text") => format = Format::Text,
                 Some("json") => format = Format::Json,
@@ -142,9 +138,7 @@ fn lint(args: &[String]) -> ExitCode {
     let policy = Policy::default();
     let options = engine::LintOptions {
         check_waivers,
-        batch_readiness,
-        nostd_readiness,
-        concurrency,
+        report: requested,
     };
     let root = xtask::workspace_root();
     // ntv:allow(wall-clock): timing the linter itself is --bench-out's job
@@ -194,12 +188,7 @@ fn lint(args: &[String]) -> ExitCode {
 
     // With --report, stdout is reserved for the report; diagnostics and
     // the summary move to stderr so piping/redirecting stays clean.
-    let machine_report = report
-        .batch_readiness
-        .as_ref()
-        .or(report.nostd_readiness.as_ref())
-        .or(report.concurrency.as_ref());
-    if let Some(rep) = machine_report {
+    if let Some(rep) = &report.report {
         print!("{rep}");
         if !quiet && format == Format::Text {
             for diag in &shown {
@@ -239,7 +228,7 @@ fn lint(args: &[String]) -> ExitCode {
         report.files_scanned,
     );
     // In machine-read formats stdout is reserved for the report.
-    if format == Format::Text && machine_report.is_none() {
+    if format == Format::Text && report.report.is_none() {
         println!("{summary}");
     } else {
         eprintln!("{summary}");

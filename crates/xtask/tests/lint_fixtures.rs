@@ -420,6 +420,47 @@ fn nostd_readiness_report_is_stable_and_units_device_are_unblocked() {
     assert!(!report.contains("xtask lint:"), "{report}");
 }
 
+/// One run renders one report: a repeated `--report` and an unknown report
+/// name are usage errors (exit 2) that name the valid reports, never a
+/// silent drop of the first request.
+#[test]
+fn report_flag_takes_exactly_one_known_report() {
+    let bin = env!("CARGO_BIN_EXE_xtask");
+    let run = |reports: &[&str]| {
+        let mut cmd = Command::new(bin);
+        cmd.args(["lint", "--quiet"]);
+        for r in reports {
+            cmd.args(["--report", r]);
+        }
+        cmd.arg(fixture("library/clean.rs"))
+            .output()
+            .expect("xtask runs")
+    };
+    for reports in [
+        &["concurrency", "nostd-readiness"][..],
+        &["nostd-readiness", "nostd-readiness"],
+        &["batch-readiness"],
+    ] {
+        let out = run(reports);
+        assert_eq!(out.status.code(), Some(2), "{reports:?}");
+        assert!(
+            out.stdout.is_empty(),
+            "{reports:?}: no report on a usage error"
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--report"), "{reports:?}: {err}");
+    }
+    let unknown = run(&["batch-readiness"]);
+    let err = String::from_utf8_lossy(&unknown.stderr);
+    assert!(
+        err.contains("`nostd-readiness` or `concurrency`"),
+        "usage names the remaining reports: {err}"
+    );
+    for report in ["nostd-readiness", "concurrency"] {
+        assert_eq!(run(&[report]).status.code(), Some(0), "{report}");
+    }
+}
+
 /// Dead waivers are silent by default, reported under `--check-waivers`,
 /// and an `ntv:allow(dead-waiver)` shield keeps an intentional one quiet.
 #[test]
